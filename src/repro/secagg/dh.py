@@ -10,6 +10,22 @@ asynchronously, one round trip each.
 This is real finite-field Diffie–Hellman over the RFC 3526 2048-bit MODP
 group (group 14) with short 256-bit exponents and an SHA-256 KDF — the
 textbook construction, not a mock.
+
+Cost.  Every aggregated participation performs four 2048-bit modular
+exponentiations: two fixed-base ``g^x`` (the TSA's leg and the client's
+completing message, both in :meth:`DHKeyPair.generate`) and two
+variable-base ``peer^x`` (one :func:`shared_key` per side).  The
+fixed-base half reads a precomputed window table
+``T[i][d] = g^(d * 2^(w*i)) mod p`` (``w = _COMB_WINDOW = 6``: 43 rows of
+64 entries, about 0.8 MiB, about 50 ms to build), so a 256-bit exponent
+costs at most 43 table lookups and modular multiplications and no
+squarings: about 0.8 ms against 3.7 ms for builtin ``pow`` (2-core x86
+box, CPython 3.11), with bit-identical results.  The table is built
+lazily on the first ``generate`` and shared by every TSA, client and
+shard in the process; each spawned worker process builds its own.  Like builtin ``pow`` it
+is not constant-time, which is fine for a simulator.  The variable-base
+half stays on builtin ``pow``: a pure-Python sliding window (4- to
+6-bit windows) measured 4.3-5.2 ms against 4.0 ms for ``pow``.
 """
 
 from __future__ import annotations
@@ -36,6 +52,47 @@ DH_PRIME = int(
 DH_GENERATOR = 2
 
 _EXPONENT_BITS = 256  # short-exponent DH: 2x the 128-bit security target
+_COMB_WINDOW = 6  # bits per fixed-base table row; 6 keeps the table under 1 MiB
+
+_fixed_base_table: list[list[int]] | None = None
+
+
+def _generator_table() -> list[list[int]]:
+    """The process-wide table ``T[i][d] = g^(d * 2^(w*i)) mod p``, built on first use.
+
+    Two racing first calls would each build an equal table, so the
+    unlocked check is safe.
+    """
+    global _fixed_base_table
+    if _fixed_base_table is None:
+        rows = []
+        base = DH_GENERATOR  # g^(2^(w*i)) for the row being built
+        for _ in range(-(-_EXPONENT_BITS // _COMB_WINDOW)):
+            row = [1]
+            for _ in range((1 << _COMB_WINDOW) - 1):
+                row.append(row[-1] * base % DH_PRIME)
+            rows.append(row)
+            base = row[-1] * base % DH_PRIME
+        _fixed_base_table = rows
+    return _fixed_base_table
+
+
+def _pow_generator(exponent: int) -> int:
+    """``pow(DH_GENERATOR, exponent, DH_PRIME)``, via the fixed-base table.
+
+    Exponents that are negative or wider than ``_EXPONENT_BITS`` fall
+    back to builtin ``pow``.
+    """
+    if exponent < 0 or exponent.bit_length() > _EXPONENT_BITS:
+        return pow(DH_GENERATOR, exponent, DH_PRIME)
+    mask = (1 << _COMB_WINDOW) - 1
+    acc = 1
+    for row in _generator_table():
+        digit = exponent & mask
+        if digit:
+            acc = acc * row[digit] % DH_PRIME
+        exponent >>= _COMB_WINDOW
+    return acc
 
 
 def _random_exponent(rng: np.random.Generator) -> int:
@@ -62,7 +119,7 @@ class DHKeyPair:
     def generate(cls, rng: np.random.Generator) -> "DHKeyPair":
         """Generate a key pair from the given randomness stream."""
         priv = _random_exponent(rng)
-        return cls(private=priv, public=pow(DH_GENERATOR, priv, DH_PRIME))
+        return cls(private=priv, public=_pow_generator(priv))
 
     def __repr__(self) -> str:  # never print the private exponent
         return f"DHKeyPair(public={hex(self.public)[:18]}…)"

@@ -1,9 +1,19 @@
 """Tests for DH key exchange, sealed boxes, and attestation."""
 
+import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.secagg import (
     AttestationError,
+    DH_GENERATOR,
     DH_PRIME,
     DHKeyPair,
     SealError,
@@ -14,7 +24,10 @@ from repro.secagg import (
     seal,
     shared_key,
 )
+from repro.secagg import dh
 from repro.utils import child_rng
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestDiffieHellman:
@@ -52,6 +65,89 @@ class TestDiffieHellman:
         a = DHKeyPair.generate(child_rng(5, "dh-a"))
         b = DHKeyPair.generate(child_rng(5, "dh-b"))
         assert len(shared_key(a.private, b.public)) == 32
+
+
+class TestFixedBaseTable:
+    """``DHKeyPair.generate``'s table path is bit-identical to builtin ``pow``."""
+
+    # sha256 over the 256-byte big-endian ``public`` of
+    # ``DHKeyPair.generate(child_rng(s, "dh"))`` for s in 0..31, computed
+    # with builtin ``pow`` before the table existed.  Any change to these
+    # bits would change every secure run and its cached sweep results.
+    KNOWN_PUBLICS_SHA256 = "b5d37e34c2d45ece0eb7436a4fb648856ed96b747b2fddf7e0b8d801abe61a06"
+
+    def test_edge_exponents_match_pow(self):
+        # Single bits on each side of every window boundary, and the
+        # all-ones runs below them, probe how digits split across rows.
+        edges = range(dh._COMB_WINDOW, dh._EXPONENT_BITS, dh._COMB_WINDOW)
+        bits = [b for e in edges for b in (e - 1, e)]
+        exponents = [0, 1, 2**255, 2**256 - 1]
+        exponents += [1 << b for b in bits] + [(1 << b) - 1 for b in bits]
+        wrong = [e for e in exponents if dh._pow_generator(e) != pow(DH_GENERATOR, e, DH_PRIME)]
+        assert wrong == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**256 - 1))
+    def test_matches_pow(self, exponent):
+        assert dh._pow_generator(exponent) == pow(DH_GENERATOR, exponent, DH_PRIME)
+
+    @pytest.mark.parametrize("exponent", [-1, -(2**255), 2**256, 2**300 + 7])
+    def test_out_of_range_exponents_fall_back_to_pow(self, exponent, monkeypatch):
+        def no_table():
+            raise AssertionError("the table must not be read")
+
+        monkeypatch.setattr(dh, "_generator_table", no_table)
+        assert dh._pow_generator(exponent) == pow(DH_GENERATOR, exponent, DH_PRIME)
+
+    def test_known_answer_digest(self):
+        digest = hashlib.sha256()
+        for seed in range(32):
+            pair = DHKeyPair.generate(child_rng(seed, "dh"))
+            digest.update(pair.public.to_bytes(256, "big"))
+        assert digest.hexdigest() == self.KNOWN_PUBLICS_SHA256
+
+    def test_table_fits_its_byte_budget(self):
+        table = dh._generator_table()
+        assert len(table) == -(-dh._EXPONENT_BITS // dh._COMB_WINDOW)
+        size = sys.getsizeof(table) + sum(
+            sys.getsizeof(row) + sum(sys.getsizeof(v) for v in row) for row in table
+        )
+        assert size <= 1 << 20
+
+    def test_table_is_lazy_and_shared_by_a_run(self):
+        # A fresh interpreter: importing and building a secure deployment
+        # must not pay for the table; the first generate does, once, and
+        # every TSA, client and shard of a later run reads that object.
+        script = textwrap.dedent(
+            """
+            from repro.api import Deployment, ScenarioSpec
+            from repro.secagg import DHKeyPair, dh
+            from repro.utils import child_rng
+
+            assert dh._fixed_base_table is None, "built at import"
+            deployment = Deployment.from_spec(ScenarioSpec.from_dict({
+                "population": {"n_devices": 100},
+                "tasks": [{"name": "t", "mode": "async", "concurrency": 8,
+                           "aggregation_goal": 4, "model_size_bytes": 1000}],
+                "plane": {"name": "secure_sharded", "num_shards": 2},
+                "execution": {"t_end_s": 30.0, "seed": 0},
+            }))
+            deployment.build()
+            assert dh._fixed_base_table is None, "built by Deployment.build()"
+            DHKeyPair.generate(child_rng(0, "dh"))
+            table = dh._fixed_base_table
+            assert table is not None
+            result = deployment.run()
+            assert any(p.outcome.value == "aggregated" for p in result.trace.participations)
+            assert dh._fixed_base_table is table, "table rebuilt during the run"
+            """
+        )
+        path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSealedBox:
